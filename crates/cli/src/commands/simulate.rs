@@ -29,7 +29,6 @@ pub fn run(args: &Args) -> Result<String, ArgError> {
         "faults",
         "recovery",
         "resilience",
-        "event-queue",
         "record-cycles",
         "telemetry",
         "cadence",
@@ -57,6 +56,21 @@ pub fn run(args: &Args) -> Result<String, ArgError> {
             let mut m = machine_by_name(&format!("{procs}x1.0"))?;
             m.name = "from SWF header";
             m
+        }
+    };
+    // An interstitial shape wider than the machine could never start; say
+    // so instead of replaying the log for zero interstitial jobs.
+    let shape = match args.get("shape") {
+        None => None,
+        Some(spec) => {
+            let (cpus, secs) = shape_spec(spec)?;
+            if cpus > machine.cpus {
+                return Err(ArgError(format!(
+                    "shape {spec} needs {cpus} CPUs; {} has {}",
+                    machine.name, machine.cpus
+                )));
+            }
+            Some((cpus, secs))
         }
     };
     let natives: Arc<Vec<Job>> = Arc::new(match &swf_text {
@@ -95,15 +109,6 @@ pub fn run(args: &Args) -> Result<String, ArgError> {
         Some(spec) => RecoveryPolicy::parse(spec).map_err(ArgError)?,
     };
 
-    // Event-queue backend: binary heap (default) or calendar queue. Both
-    // pop in identical order, so this only changes constant factors.
-    let queue = match args.get("event-queue") {
-        None => QueueKind::default(),
-        Some(kind) => {
-            QueueKind::parse(kind).map_err(|e| ArgError(format!("bad --event-queue: {e}")))?
-        }
-    };
-
     // Online telemetry: a fixed-cadence sampling bus plus optional SLO
     // watchdog rules. Both are opt-in; --cadence and --slo only make sense
     // with a bus to drive.
@@ -140,7 +145,6 @@ pub fn run(args: &Args) -> Result<String, ArgError> {
         || args.get("metrics").is_some()
         || record_path.is_some()
         || telemetry_path.is_some();
-    let shape_given = args.get("shape").is_some();
     // The recorder is opt-in on top of the full bundle: it needs the phase
     // profiler's nanos for attribution, and `--record-cycles` is an explicit
     // request to pay for the per-pass ring. The telemetry bus likewise.
@@ -159,12 +163,11 @@ pub fn run(args: &Args) -> Result<String, ArgError> {
     let mut baseline_builder = SimBuilder::new(machine.clone())
         .natives_arc(Arc::clone(&natives))
         .horizon(horizon)
-        .event_queue(queue)
         .recovery(recovery);
     if let Some(model) = &faults {
         baseline_builder = baseline_builder.faults(model.clone());
     }
-    if observe && !shape_given {
+    if observe && shape.is_none() {
         baseline_builder = baseline_builder.observer(observer());
         if let Some(spec) = &slo {
             baseline_builder = baseline_builder.slo(spec.clone());
@@ -183,10 +186,9 @@ pub fn run(args: &Args) -> Result<String, ArgError> {
     );
     let base_impact = NativeImpact::of(&baseline.completed);
 
-    let inter = match args.get("shape") {
+    let inter = match shape {
         None => None,
-        Some(spec) => {
-            let (cpus, secs) = shape_spec(spec)?;
+        Some((cpus, secs)) => {
             let mode =
                 match args.get("mode") {
                     None | Some("continual") => InterstitialMode::Continual,
@@ -221,7 +223,6 @@ pub fn run(args: &Args) -> Result<String, ArgError> {
             let mut b = SimBuilder::new(machine.clone())
                 .natives_arc(Arc::clone(&natives))
                 .horizon(horizon)
-                .event_queue(queue)
                 .recovery(recovery)
                 .interstitial(project, mode, policy);
             if let Some(model) = &faults {
@@ -425,35 +426,19 @@ mod tests {
     }
 
     #[test]
-    fn calendar_event_queue_matches_heap_exactly() {
-        let flags = |queue: &str| {
-            run(&parse(&[
-                "simulate",
-                "--machine",
-                "128x1.0",
-                "--seed",
-                "2",
-                "--shape",
-                "16x120",
-                "--event-queue",
-                queue,
-            ]))
-            .unwrap()
-        };
-        assert_eq!(flags("heap"), flags("calendar"));
-    }
-
-    #[test]
     fn bad_flags_are_clean_errors() {
         assert!(run(&parse(&["simulate"])).is_err(), "no machine");
-        assert!(run(&parse(&[
+        let err = run(&parse(&[
             "simulate",
             "--machine",
             "ross",
-            "--event-queue",
-            "wheelbarrow"
+            "--seed",
+            "2",
+            "--shape",
+            "99999x10",
         ]))
-        .is_err());
+        .unwrap_err();
+        assert_eq!(err.0, "shape 99999x10 needs 99999 CPUs; Ross has 1436");
         assert!(run(&parse(&["simulate", "--machine", "ross", "--shape", "16"])).is_err());
         assert!(run(&parse(&[
             "simulate",

@@ -1,7 +1,6 @@
 //! Full-simulation differential replay: the naive and indexed free-profile
-//! paths, crossed with the heap and calendar event queues, must produce
-//! byte-identical traces and identical completions on every machine preset,
-//! fault-free and faulted.
+//! paths must produce byte-identical traces and identical completions on
+//! every machine preset, fault-free and faulted.
 //!
 //! This is the end-to-end arm of the equivalence proof (the sched-level arm
 //! is `crates/sched/tests/differential.rs`): if a divergence slips past the
@@ -14,7 +13,6 @@ use machine::{FaultModel, FaultSpec, MachineConfig};
 use obs::Obs;
 use sched::{ProfileMode, Scheduler};
 use simkit::time::{SimDuration, SimTime};
-use simkit::QueueKind;
 use workload::traces::native_trace;
 
 const SEED: u64 = 7;
@@ -28,7 +26,7 @@ fn presets() -> [(&'static str, MachineConfig); 3] {
     ]
 }
 
-fn replay(cfg: &MachineConfig, faulted: bool, mode: ProfileMode, queue: QueueKind) -> SimOutput {
+fn replay(cfg: &MachineConfig, faulted: bool, mode: ProfileMode) -> SimOutput {
     let mut natives = native_trace(cfg, SEED);
     natives.truncate(JOBS);
     let horizon =
@@ -40,7 +38,6 @@ fn replay(cfg: &MachineConfig, faulted: bool, mode: ProfileMode, queue: QueueKin
         .natives(natives)
         .horizon(horizon)
         .scheduler(scheduler)
-        .event_queue(queue)
         .interstitial(
             project,
             InterstitialMode::Continual,
@@ -66,7 +63,7 @@ fn artifact_dir() -> std::path::PathBuf {
 
 /// Compare a run against the reference; on any mismatch, dump both sides'
 /// traces and counters under `target/differential/<label>.*` and panic.
-fn assert_equivalent(label: &str, reference: &SimOutput, got: &SimOutput, same_tally: bool) {
+fn assert_equivalent(label: &str, reference: &SimOutput, got: &SimOutput) {
     let ref_trace = reference.obs.trace.to_jsonl();
     let got_trace = got.obs.trace.to_jsonl();
     let ref_completed: Vec<(u64, SimTime, SimTime)> = reference
@@ -79,17 +76,16 @@ fn assert_equivalent(label: &str, reference: &SimOutput, got: &SimOutput, same_t
         .iter()
         .map(|c| (c.job.id, c.start, c.finish))
         .collect();
-    // Counter vectors must match field-for-field; `profile_segments_walked`
-    // deliberately tallies different units in the two profile modes
-    // (segments built vs. overlay pieces examined), so it is only
-    // comparable when both runs used the same mode.
+    // Counter vectors must match field-for-field, except
+    // `profile_segments_walked`: it deliberately tallies different units in
+    // the two profile modes (segments built vs. overlay pieces examined).
     let counters_match = reference
         .obs
         .work
         .fields()
         .into_iter()
         .zip(got.obs.work.fields())
-        .all(|((name, a), (_, b))| a == b || (!same_tally && name == "profile_segments_walked"));
+        .all(|((name, a), (_, b))| a == b || name == "profile_segments_walked");
 
     if ref_trace == got_trace && ref_completed == got_completed && counters_match {
         return;
@@ -121,30 +117,23 @@ fn assert_equivalent(label: &str, reference: &SimOutput, got: &SimOutput, same_t
     );
 }
 
-/// The full 2×2 (profile mode × event queue) against the naive/heap
-/// reference, per preset, fault-free and faulted.
+/// The indexed free profile against the naive reference, per preset,
+/// fault-free and faulted.
 #[test]
-fn all_mode_queue_combinations_replay_identically() {
+fn indexed_profile_replays_identically_to_naive() {
     for (name, cfg) in presets() {
         for faulted in [false, true] {
-            let reference = replay(&cfg, faulted, ProfileMode::Naive, QueueKind::Heap);
+            let reference = replay(&cfg, faulted, ProfileMode::Naive);
             assert!(
                 !reference.completed.is_empty(),
                 "{name}: reference run completed nothing"
             );
-            for (mode, queue, tag) in [
-                (ProfileMode::Naive, QueueKind::Calendar, "naive-calendar"),
-                (ProfileMode::Indexed, QueueKind::Heap, "indexed-heap"),
-                (
-                    ProfileMode::Indexed,
-                    QueueKind::Calendar,
-                    "indexed-calendar",
-                ),
-            ] {
-                let got = replay(&cfg, faulted, mode, queue);
-                let label = format!("{name}-faulted{faulted}-{tag}");
-                assert_equivalent(&label, &reference, &got, mode == ProfileMode::Naive);
-            }
+            let got = replay(&cfg, faulted, ProfileMode::Indexed);
+            assert_equivalent(
+                &format!("{name}-faulted{faulted}-indexed"),
+                &reference,
+                &got,
+            );
         }
     }
 }

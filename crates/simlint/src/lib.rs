@@ -20,7 +20,7 @@
 //!   `fold(0.0`) in sim crates: parallel ensemble merges reorder partial
 //!   sums.
 //! * **R8** — semantic purity: every function reachable from
-//!   `Scheduler::cycle` or the simkit engine loop (over an approximate
+//!   `Scheduler::cycle` or the driver's event loop (over an approximate
 //!   item-level call graph, see [`graph`]) must be free of wall-clock, IO
 //!   and entropy calls.
 //!
@@ -303,14 +303,19 @@ mod tests {
     #[test]
     fn purity_roots_resolve_and_reach_the_hot_path() {
         let report = lint_workspace(&workspace_root()).unwrap();
-        assert!(
-            report.roots.len() >= 4,
-            "expected Scheduler::cycle/cycle_observed + engine run/run_probed, got {:?}",
-            report
-                .roots
-                .iter()
-                .map(|&r| report.graph.nodes[r].id.clone())
-                .collect::<Vec<_>>()
+        let roots: std::collections::BTreeSet<&str> = report
+            .roots
+            .iter()
+            .map(|&r| report.graph.nodes[r].id.as_str())
+            .collect();
+        assert_eq!(
+            roots,
+            [
+                "core::Simulator::run",
+                "sched::Scheduler::cycle",
+                "sched::Scheduler::cycle_observed",
+            ]
+            .into()
         );
         assert!(
             report.reachable.len() >= 20,

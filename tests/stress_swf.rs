@@ -1,11 +1,11 @@
 //! 10⁵-job SWF stress run (ignored by default; CI's cron job runs it).
 //!
 //! A synthetic 100 000-job log is round-tripped through the SWF format and
-//! replayed on the Ross preset under both event-queue backends. The run
-//! must finish inside a wall-time ceiling — the indexed free profile is
-//! what makes that possible; the old per-cycle O(n) profile rebuild made
-//! this scale quadratic — complete every job, and keep the two backends
-//! bit-identical.
+//! replayed twice on the Ross preset. Each run must finish inside a
+//! wall-time ceiling — the indexed free profile is what makes that
+//! possible; the old per-cycle O(n) profile rebuild made this scale
+//! quadratic — and complete every job, and the two replays must agree
+//! bit for bit.
 //!
 //! Run locally with `cargo test -q --release -- --ignored stress_swf`.
 
@@ -13,7 +13,6 @@ use interstitial_computing::interstitial::prelude::*;
 use interstitial_computing::machine;
 use interstitial_computing::simkit::rng::Rng;
 use interstitial_computing::simkit::time::{SimDuration, SimTime};
-use interstitial_computing::simkit::QueueKind;
 use interstitial_computing::workload::{swf, Job, JobClass};
 
 const JOBS: u64 = 100_000;
@@ -66,18 +65,17 @@ fn hundred_thousand_job_swf_replay_within_wall_ceiling() {
     let horizon =
         SimTime::from_secs(natives.iter().map(|j| j.submit.as_secs()).max().unwrap() + 400_000);
     let mut outputs = Vec::new();
-    for queue in [QueueKind::Heap, QueueKind::Calendar] {
+    for replay in 0..2 {
         let started = std::time::Instant::now();
         let out = SimBuilder::new(cfg.clone())
             .natives(natives.clone())
             .horizon(horizon)
-            .event_queue(queue)
             .build()
             .run();
         let wall = started.elapsed();
         assert!(
             wall < WALL_CEILING,
-            "{queue:?}: replay took {wall:?} (ceiling {WALL_CEILING:?})"
+            "replay {replay} took {wall:?} (ceiling {WALL_CEILING:?})"
         );
 
         // Invariants: everything completes, runs exactly its runtime, and
@@ -101,6 +99,6 @@ fn hundred_thousand_job_swf_replay_within_wall_ceiling() {
     }
     assert_eq!(
         outputs[0], outputs[1],
-        "heap and calendar backends diverged at 10^5-job scale"
+        "two replays of the same inputs diverged at 10^5-job scale"
     );
 }
