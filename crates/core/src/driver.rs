@@ -41,14 +41,21 @@ use workload::{CompletedJob, Job, JobClass};
 const INTERSTITIAL_ID_BASE: u64 = 1 << 40;
 
 /// Fragmentation of the projected free capacity at `now`, in permille:
-/// the share of free CPU·time over the next 24 h (per the running set's
-/// estimate-based free profile) sitting in gaps too short for a one-hour
-/// single-CPU probe — the `analysis` interstice census folded to one
-/// telemetry scalar. 0 when nothing is free or everything is harvestable.
+/// the share of free CPU·time over the window `[now, now + 24 h)` (per the
+/// running set's estimate-based free profile) sitting in gaps too short
+/// for a one-hour single-CPU probe — the `analysis` interstice census
+/// folded to one telemetry scalar. 0 when nothing is free or everything
+/// is harvestable. That profile never decreases (running jobs only end),
+/// so the short gaps are the CPUs that free up within the window's last
+/// hour.
 fn frag_permille(running: &RunningSet, now: SimTime, free_now: u32) -> u64 {
     let profile = running.free_profile(now, free_now, now + SimDuration::from_hours(24));
-    let (harvest, total) =
-        analysis::interstices::harvestable_cpu_seconds(&profile, 1, SimDuration::from_hours(1));
+    let (harvest, total) = analysis::interstices::harvestable_cpu_seconds_from(
+        &profile,
+        now,
+        1,
+        SimDuration::from_hours(1),
+    );
     if total <= 0.0 {
         return 0;
     }
@@ -1500,6 +1507,37 @@ mod tests {
             runtime: SimDuration::from_secs(runtime),
             estimate: SimDuration::from_secs(estimate),
         }
+    }
+
+    #[test]
+    fn frag_permille_measures_the_window_ahead_of_now() {
+        let now = SimTime::from_days(10);
+        let running_job = |id, cpus, est_end| RunningJob {
+            id,
+            cpus,
+            start: SimTime::ZERO,
+            actual_end: now + SimDuration::from_days(2),
+            estimated_end: est_end,
+            interstitial: false,
+        };
+        let mut rs = RunningSet::new();
+        assert_eq!(frag_permille(&rs, now, 0), 0, "nothing free, nothing ends");
+        // 10 CPUs free now. A 6-CPU job overran its estimate, so it is
+        // projected to end at now+1 s; a 10-CPU job is estimated to end at
+        // now + 23.5 h, leaving its CPUs free for only the last 1800 s of
+        // the 24 h window — too short for a one-hour probe.
+        rs.insert(running_job(1, 6, now - SimDuration::from_secs(5)));
+        rs.insert(running_job(2, 10, now + SimDuration::from_secs(84_600)));
+        // Free CPU·s over [now, now + 86_400):
+        //   10 × 1 + 16 × 84_599 + 26 × 1_800 = 1_400_394,
+        // of which the ten late lanes' 10 × 1_800 = 18_000 are too short:
+        // 18_000 / 1_400_394 = 12.85‰. Counting [0, now) at 10 free too
+        // would add 8_640_000 harvestable CPU·s and read 2‰.
+        assert_eq!(frag_permille(&rs, now, 10), 13);
+        // Once the late job's CPUs are free for over an hour, every lane
+        // is harvestable.
+        let later = now - SimDuration::from_secs(1_800);
+        assert_eq!(frag_permille(&rs, later, 10), 0);
     }
 
     #[test]
