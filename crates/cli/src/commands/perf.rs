@@ -196,21 +196,34 @@ fn run_hotspots(args: &Args) -> Result<String, ArgError> {
     );
 
     // Phase flame bars: run totals from the profiler, scaled to the
-    // hottest phase. Wall-clock values — attribution, not comparison.
+    // hottest self time. Wall-clock values — attribution, not comparison.
+    // The dump carries no run wall, so shares are of the summed self
+    // times (nested phases subtracted from their parents, per
+    // `obs::profile::PHASE_NESTING`): they add up to 100%.
     if !dump.phases.is_empty() {
-        let total: u64 = dump.phases.iter().map(|(_, _, ns)| *ns).sum();
-        let hottest = dump.phases.iter().map(|(_, _, ns)| *ns).max().unwrap_or(0);
-        out.push_str("\nphase breakdown (wall-clock run totals)\n");
-        for (name, calls, ns) in &dump.phases {
+        let inclusive: Vec<(&str, u64)> = dump
+            .phases
+            .iter()
+            .map(|(name, _, ns)| (name.as_str(), *ns))
+            .collect();
+        let selfs = obs::profile::self_ns(&inclusive);
+        let total: u64 = selfs.iter().sum();
+        let hottest = selfs.iter().copied().max().unwrap_or(0);
+        out.push_str(&format!(
+            "\nphase breakdown (wall-clock run totals)\n  {:<16} {:>15} {:>10} {:>10} {:>10}\n",
+            "phase", "calls", "incl ms", "self ms", "self share"
+        ));
+        for ((name, calls, ns), &self_ns) in dump.phases.iter().zip(&selfs) {
             let share = if total > 0 {
-                *ns as f64 / total as f64 * 100.0
+                self_ns as f64 / total as f64 * 100.0
             } else {
                 0.0
             };
-            let bar = (ns * FLAME_WIDTH).checked_div(hottest).unwrap_or(0) as usize;
+            let bar = (self_ns * FLAME_WIDTH).checked_div(hottest).unwrap_or(0) as usize;
             out.push_str(&format!(
-                "  {name:<16} {calls:>9} calls {:>10.2} ms {share:>5.1}%  {}\n",
+                "  {name:<16} {calls:>9} calls {:>10.2} {:>10.2} {share:>9.1}%  {}\n",
                 *ns as f64 / 1e6,
+                self_ns as f64 / 1e6,
                 "#".repeat(bar),
             ));
         }
@@ -474,11 +487,27 @@ mod tests {
                 ns,
             );
         }
-        let mut profile = obs::PhaseProfiler::enabled();
-        let span = profile.begin();
-        profile.end("order-queue", span);
+        // Hand-set run totals: schedule-cycle (10 ms inclusive) nests
+        // order-queue (4 ms) and backfill (2 ms), so its self time is 4 ms
+        // and the four self shares over 14 ms sum to 100%.
+        let mut profile = obs::profile::ProfileSnapshot::default();
+        for (name, ms) in [
+            ("backfill", 2),
+            ("event-pump", 4),
+            ("order-queue", 4),
+            ("schedule-cycle", 10),
+        ] {
+            profile.phases.insert(
+                name,
+                obs::profile::PhaseStat {
+                    calls: 100,
+                    total_ns: ms * 1_000_000,
+                    ..Default::default()
+                },
+            );
+        }
         let path = dir.join("cycles.jsonl");
-        std::fs::write(&path, rec.to_jsonl(&profile.snapshot())).unwrap();
+        std::fs::write(&path, rec.to_jsonl(&profile)).unwrap();
 
         let out = run(&args(&[
             "perf",
@@ -490,7 +519,15 @@ mod tests {
         .unwrap();
         assert!(out.contains("100 cycles recorded"), "{out}");
         assert!(out.contains("phase breakdown"), "{out}");
-        assert!(out.contains("order-queue"), "{out}");
+        assert!(out.contains("self share"), "{out}");
+        for (name, cells) in [
+            ("schedule-cycle", "10.00       4.00      28.6%"),
+            ("order-queue", "4.00       4.00      28.6%"),
+            ("backfill", "2.00       2.00      14.3%"),
+        ] {
+            let row = out.lines().find(|l| l.trim_start().starts_with(name));
+            assert!(row.is_some_and(|r| r.contains(cells)), "{name}: {out}");
+        }
         assert!(out.contains('#'), "flame bars rendered: {out}");
         assert!(out.contains("P50"), "{out}");
         assert!(out.contains("P99"), "{out}");

@@ -71,6 +71,36 @@ impl ProfileSnapshot {
     }
 }
 
+/// How the simulator's spans nest: every `(child, parent)` span runs
+/// inside a span of `parent`. Phases not listed as a child are top level
+/// and never overlap each other, so self times sum to the spanned wall.
+pub const PHASE_NESTING: &[(&str, &str)] = &[
+    ("order-queue", "schedule-cycle"),
+    ("free-profile", "schedule-cycle"),
+    ("backfill", "schedule-cycle"),
+];
+
+/// Self time of each phase given its inclusive total: the total minus
+/// the totals of the phases nested directly inside it (per
+/// [`PHASE_NESTING`]). Returned in the order of `inclusive`.
+pub fn self_ns(inclusive: &[(&str, u64)]) -> Vec<u64> {
+    inclusive
+        .iter()
+        .map(|&(name, ns)| {
+            let nested: u64 = inclusive
+                .iter()
+                .filter(|&&(child, _)| {
+                    PHASE_NESTING
+                        .iter()
+                        .any(|&(c, parent)| c == child && parent == name)
+                })
+                .map(|&(_, child_ns)| child_ns)
+                .sum();
+            ns.saturating_sub(nested)
+        })
+        .collect()
+}
+
 /// Named wall-clock span accumulator with a zero-cost disabled path.
 #[derive(Clone, Debug, Default)]
 pub struct PhaseProfiler {
@@ -184,6 +214,21 @@ mod tests {
         let snap = p.snapshot();
         assert_eq!(snap.phases.len(), 2);
         assert!(snap.phases["outer"].total_ns >= snap.phases["inner"].total_ns);
+    }
+
+    #[test]
+    fn self_time_subtracts_nested_phases_only() {
+        let inclusive = [
+            ("backfill", 2_000),
+            ("event-pump", 4_000),
+            ("order-queue", 4_000),
+            ("schedule-cycle", 10_000),
+        ];
+        // schedule-cycle keeps 10 − 4 − 2; top-level and leaf phases keep
+        // their inclusive time.
+        assert_eq!(self_ns(&inclusive), vec![2_000, 4_000, 4_000, 4_000]);
+        // A child whose parent is absent changes nothing.
+        assert_eq!(self_ns(&[("backfill", 7)]), vec![7]);
     }
 
     #[test]

@@ -154,6 +154,7 @@ pub struct TelemetryBus {
     next_tick_s: u64,
     budget: usize,
     decimations: u64,
+    sampled: u64,
     ticks: Vec<u64>,
     columns: Vec<Vec<u64>>,
     annotations: Vec<Annotation>,
@@ -224,6 +225,11 @@ impl TelemetryBus {
         self.decimations
     }
 
+    /// Number of ticks sampled over the run, decimated ones included.
+    pub fn ticks_sampled(&self) -> u64 {
+        self.sampled
+    }
+
     /// Number of retained sample points.
     pub fn len(&self) -> usize {
         self.ticks.len()
@@ -276,6 +282,7 @@ impl TelemetryBus {
         if self.ticks.len() == self.budget {
             self.decimate();
         }
+        self.sampled += 1;
         self.ticks.push(t_s);
         for (column, v) in self.columns.iter_mut().zip(values) {
             column.push(*v);
@@ -850,6 +857,7 @@ mod tests {
         assert_eq!(bus.values("a"), Some(&[0, 2, 4][..]));
         assert_eq!(bus.effective_cadence_s(), 20);
         assert_eq!(bus.decimations(), 1);
+        assert_eq!(bus.ticks_sampled(), 5, "decimated ticks still count");
         assert_eq!(bus.pending_tick(SimTime::from_secs(60)), Some(60));
     }
 
